@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
@@ -87,12 +88,47 @@ NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
     device.validate();
 }
 
+namespace {
+
+/**
+ * Append the raw bytes of every calibration value NoisyProgram::compile
+ * reads for `local`: the gate durations, each kept qubit's 1-qubit
+ * error, T1 and T2, and the error of each 2-qubit gate's edge.
+ */
+void
+append_calibration(std::string &key, const circ::Circuit &local,
+                   const std::vector<int> &kept, const dev::Device &device)
+{
+    auto put = [&key](double v) {
+        key.append(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    put(device.duration_1q_ns);
+    put(device.duration_2q_ns);
+    for (int pq : kept) {
+        const auto q = static_cast<std::size_t>(pq);
+        put(device.error_1q[q]);
+        put(device.t1_us[q]);
+        put(device.t2_us[q]);
+    }
+    for (const circ::Op &op : local.ops()) {
+        if (op.kind == circ::GateKind::AmpEmbed || op.num_qubits() != 2)
+            continue;
+        const int edge = device.topology.edge_index(
+            kept[static_cast<std::size_t>(op.qubits[0])],
+            kept[static_cast<std::size_t>(op.qubits[1])]);
+        put(edge < 0 ? -1.0 : device.error_2q[static_cast<std::size_t>(edge)]);
+    }
+}
+
+} // namespace
+
 std::shared_ptr<const NoisyProgram>
 NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
                                    const circ::Circuit &local,
                                    const std::vector<int> &kept) const
 {
-    const std::string key = circ::to_text_line(circuit);
+    std::string key = circ::to_text_line(circuit);
+    append_calibration(key, local, kept, device_);
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = cache_.find(key);
     if (it != cache_.end())
@@ -110,25 +146,39 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
                                         const std::vector<double> &params,
                                         const std::vector<double> &x) const
 {
-    if (precision_ == sim::Precision::Float32Proxy)
-        return run_distribution_impl<float>(circuit, params, x);
-    return run_distribution_impl<double>(circuit, params, x);
-}
-
-template <typename T>
-std::vector<double>
-NoisyDensitySimulator::run_distribution_impl(
-    const circ::Circuit &circuit, const std::vector<double> &params,
-    const std::vector<double> &x) const
-{
     ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
-
-    sim::BasicDensityMatrix<T> rho(local.num_qubits());
+    std::shared_ptr<const NoisyProgram> program;
     if (fused_)
-        program_for(circuit, local, kept)->run(rho, params, x);
+        program = program_for(circuit, local, kept);
+    return local_distribution(local, kept, program.get(), params, x);
+}
+
+std::vector<double>
+NoisyDensitySimulator::local_distribution(const circ::Circuit &local,
+                                          const std::vector<int> &kept,
+                                          const NoisyProgram *program,
+                                          const std::vector<double> &params,
+                                          const std::vector<double> &x) const
+{
+    if (precision_ == sim::Precision::Float32Proxy)
+        return local_distribution_impl<float>(local, kept, program, params,
+                                              x);
+    return local_distribution_impl<double>(local, kept, program, params, x);
+}
+
+template <typename T>
+std::vector<double>
+NoisyDensitySimulator::local_distribution_impl(
+    const circ::Circuit &local, const std::vector<int> &kept,
+    const NoisyProgram *program, const std::vector<double> &params,
+    const std::vector<double> &x) const
+{
+    sim::BasicDensityMatrix<T> rho(local.num_qubits());
+    if (program)
+        program->run(rho, params, x);
     else
         apply_unfused(rho, local, kept, params, x);
 
@@ -209,18 +259,25 @@ NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
                                 const std::vector<double> &params,
                                 const std::vector<double> &x) const
 {
+    ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
+                "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
     sim::StateVector psi(local.num_qubits());
+    std::optional<NoisyProgram> program;
     if (fused_) {
-        // Compile locally instead of through the global FusionCache:
-        // CNR replicas are one-shot circuits and would churn it.
+        // Compile both sides locally instead of through the global
+        // FusionCache and the program cache: CNR replicas are one-shot
+        // circuits and would only churn them. The gate+noise
+        // superoperators still come from NoisyProgram's table.
         sim::FusedProgram::compile(local).run(psi, params, x);
+        program.emplace(NoisyProgram::compile(local, kept, device_, scale_));
     } else {
         psi.run(local, params, x);
     }
     const auto ideal = psi.probabilities(local.measured());
-    const auto noisy = run_distribution(circuit, params, x);
+    const auto noisy = local_distribution(
+        local, kept, program ? &*program : nullptr, params, x);
     return 1.0 - elv::total_variation_distance(ideal, noisy);
 }
 

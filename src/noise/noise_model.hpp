@@ -93,7 +93,8 @@ class NoisyDensitySimulator
 
     /**
      * Route execution through compiled NoisyPrograms — fused
-     * gate+channel superoperators, cached per circuit — instead of the
+     * gate+channel superoperators, cached per circuit and calibration
+     * by run_distribution, compiled afresh by fidelity() — instead of the
      * per-gate channel loop (default on). The unfused path is kept for
      * the equivalence tests and the bench comparison.
      */
@@ -109,12 +110,26 @@ class NoisyDensitySimulator
     }
 
   private:
-    /** run_distribution instantiated at one amplitude precision. */
+    /**
+     * Outcome distribution of the compacted circuit `local` (physical
+     * qubit kept[q] behind local qubit q), readout error included.
+     * Replays `program`, or runs the per-gate loop when it is null.
+     */
+    std::vector<double> local_distribution(const circ::Circuit &local,
+                                           const std::vector<int> &kept,
+                                           const NoisyProgram *program,
+                                           const std::vector<double> &params,
+                                           const std::vector<double> &x)
+        const;
+
+    /** local_distribution at one amplitude precision. */
     template <typename T>
     std::vector<double>
-    run_distribution_impl(const circ::Circuit &circuit,
-                          const std::vector<double> &params,
-                          const std::vector<double> &x) const;
+    local_distribution_impl(const circ::Circuit &local,
+                            const std::vector<int> &kept,
+                            const NoisyProgram *program,
+                            const std::vector<double> &params,
+                            const std::vector<double> &x) const;
 
     /** The original per-gate channel loop (reference path). */
     template <typename T>
@@ -136,7 +151,10 @@ class NoisyDensitySimulator
     /**
      * Bounded program cache keyed by the exact serialization of the
      * *original* (pre-compaction) circuit — physical qubit labels
-     * determine the noise, so the original text is the right key.
+     * determine the noise, so the original text is the right key —
+     * plus the bytes of every calibration value the program was
+     * compiled from, so a drifted device (FaultInjector rewrites the
+     * referenced Device in place) never replays a stale program.
      * Cleared wholesale at capacity, like sim::FusionCache.
      */
     mutable std::mutex cache_mutex_;

@@ -1,6 +1,8 @@
 #include "noise/superop.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -103,6 +105,133 @@ swap_superop_pair(const Mat16 &s)
     return out;
 }
 
+namespace {
+
+/**
+ * Every value one gate's composed gate+noise superoperator is computed
+ * from, by bits: gate kind and fixed flag, the fixed gate's angles,
+ * `scale`, and (when scale > 0) the error rate, T1 and T2 of each
+ * operand's physical qubit, and the gate duration. Keying by value
+ * rather than by device or qubit makes a lookup correct for any
+ * Device copy and after any in-place calibration drift.
+ */
+struct GateNoiseKey
+{
+    std::array<std::uint64_t, 11> words{};
+
+    bool operator==(const GateNoiseKey &) const = default;
+
+    std::uint64_t hash() const
+    {
+        std::uint64_t h = 0;
+        for (std::uint64_t w : words) {
+            h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+            h ^= h >> 29;
+        }
+        return h;
+    }
+};
+
+GateNoiseKey
+gate_noise_key(const circ::Op &op, bool fixed,
+               const std::array<double, 3> &angles, double scale)
+{
+    GateNoiseKey key;
+    key.words[0] = static_cast<std::uint64_t>(op.kind) |
+                   (fixed ? std::uint64_t{1} << 32 : 0);
+    if (fixed)
+        for (std::size_t k = 0; k < 3; ++k)
+            key.words[1 + k] = std::bit_cast<std::uint64_t>(angles[k]);
+    key.words[4] = std::bit_cast<std::uint64_t>(scale);
+    return key;
+}
+
+/** Fill the calibration part of `key` for the qubit in `slot`. */
+void
+set_qubit_noise(GateNoiseKey &key, int slot, double t1, double t2)
+{
+    const std::size_t at = 7 + 2 * static_cast<std::size_t>(slot);
+    key.words[at] = std::bit_cast<std::uint64_t>(t1);
+    key.words[at + 1] = std::bit_cast<std::uint64_t>(t2);
+}
+
+void
+set_gate_noise(GateNoiseKey &key, double error, double duration_ns)
+{
+    key.words[5] = std::bit_cast<std::uint64_t>(error);
+    key.words[6] = std::bit_cast<std::uint64_t>(duration_ns);
+}
+
+/**
+ * A bounded open-addressing table from GateNoiseKey to a superoperator,
+ * stored flat. It holds at most kCapacity entries and is cleared
+ * wholesale when full, like sim::FusionCache. A returned reference is
+ * valid until the next get().
+ */
+template <typename M>
+class SuperopTable
+{
+  public:
+    SuperopTable() { index_.fill(-1); }
+
+    /** The superoperator under `key`, computed by `build()` on a miss. */
+    template <typename Build>
+    const M &get(const GateNoiseKey &key, Build &&build)
+    {
+        std::size_t slot = probe(key);
+        if (index_[slot] >= 0)
+            return values_[static_cast<std::size_t>(index_[slot])];
+        M value = build();
+        if (keys_.size() == kCapacity) {
+            keys_.clear();
+            values_.clear();
+            index_.fill(-1);
+            slot = probe(key);
+        }
+        index_[slot] = static_cast<std::int16_t>(keys_.size());
+        keys_.push_back(key);
+        values_.push_back(value);
+        return values_.back();
+    }
+
+  private:
+    static constexpr std::size_t kCapacity = 256;
+    /** Twice the capacity keeps the load factor at or below one half. */
+    static constexpr std::size_t kSlots = 2 * kCapacity;
+
+    std::size_t probe(const GateNoiseKey &key) const
+    {
+        std::size_t slot = static_cast<std::size_t>(key.hash()) & (kSlots - 1);
+        while (index_[slot] >= 0 &&
+               !(keys_[static_cast<std::size_t>(index_[slot])] == key))
+            slot = (slot + 1) & (kSlots - 1);
+        return slot;
+    }
+
+    std::array<std::int16_t, kSlots> index_{};
+    std::vector<GateNoiseKey> keys_;
+    std::vector<M> values_;
+};
+
+/**
+ * Per-thread tables: compiles on different threads share nothing, so
+ * the lookup takes no lock.
+ */
+struct SuperopTables
+{
+    SuperopTable<Mat4> one;
+    SuperopTable<Mat16> two;
+};
+
+SuperopTables &
+superop_tables()
+{
+    thread_local SuperopTables tables;
+    return tables;
+}
+
+} // namespace
+
 NoisyProgram
 NoisyProgram::compile(const circ::Circuit &local,
                       const std::vector<int> &kept,
@@ -133,6 +262,7 @@ NoisyProgram::compile(const circ::Circuit &local,
         return stream[static_cast<std::size_t>(idx)];
     };
     auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
+    SuperopTables &tables = superop_tables();
 
     auto add_super1 = [&](const Mat4 &s, int q) {
         const int idx = open_at(q);
@@ -217,65 +347,92 @@ NoisyProgram::compile(const circ::Circuit &local,
                 continue;
         }
 
+        if (!fixed && scale <= 0.0)
+            continue;
+        const std::array<double, 3> angles =
+            fixed ? circ::op_angles(op, {}, {}) : std::array<double, 3>{};
+        GateNoiseKey key = gate_noise_key(op, fixed, angles, scale);
+        // On a miss each build lambda below computes the superoperator
+        // exactly as an uncached compile would, in the same order, so
+        // every compiled program is bit-identical with or without hits.
         if (op.num_qubits() == 1) {
             const int lq = op.qubits[0];
-            Mat4 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_1q(sim::gate_matrix_1q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
+            const int pq = kept[static_cast<std::size_t>(lq)];
+            const auto q = static_cast<std::size_t>(pq);
             if (scale > 0.0) {
-                const int pq = kept[static_cast<std::size_t>(lq)];
-                const double err = clamp01(
-                    scale *
-                    device.error_1q[static_cast<std::size_t>(pq)]);
-                const Mat4 noise = sim::matmul(
-                    thermal_superop(pq, device.duration_1q_ns),
-                    kraus_superop_1q(depolarizing_1q_kraus(err)));
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
+                set_gate_noise(key, device.error_1q[q],
+                               device.duration_1q_ns);
+                set_qubit_noise(key, 0, device.t1_us[q], device.t2_us[q]);
             }
-            if (have)
-                add_super1(s, lq);
+            add_super1(tables.one.get(key, [&] {
+                Mat4 s = {};
+                bool have = false;
+                if (fixed) {
+                    s = unitary_superop_1q(
+                        sim::gate_matrix_1q(op.kind, angles));
+                    have = true;
+                }
+                if (scale > 0.0) {
+                    const double err =
+                        clamp01(scale * device.error_1q[q]);
+                    const Mat4 noise = sim::matmul(
+                        thermal_superop(pq, device.duration_1q_ns),
+                        kraus_superop_1q(depolarizing_1q_kraus(err)));
+                    s = have ? sim::matmul(noise, s) : noise;
+                }
+                return s;
+            }),
+                       lq);
         } else {
             const int la = op.qubits[0], lb = op.qubits[1];
-            Mat16 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_2q(sim::gate_matrix_2q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
+            const int pa = kept[static_cast<std::size_t>(la)];
+            const int pb = kept[static_cast<std::size_t>(lb)];
+            double edge_error = 0.0;
             if (scale > 0.0) {
-                const int pa = kept[static_cast<std::size_t>(la)];
-                const int pb = kept[static_cast<std::size_t>(lb)];
-                if (!device.topology.has_edge(pa, pb))
+                const int edge = device.topology.edge_index(pa, pb);
+                if (edge < 0)
                     elv::fatal(
                         "2-qubit gate on uncoupled physical qubits " +
                         std::to_string(pa) + "," + std::to_string(pb) +
                         "; route the circuit first");
-                const double err =
-                    clamp01(scale * device.edge_error(pa, pb));
-                Mat16 noise = kraus_superop_2q(depolarizing_2q_kraus(err));
-                // CRY lowers to two CX on hardware: pay the channel
-                // twice (matching the unfused schedule).
-                if (op.kind == circ::GateKind::CRY)
-                    noise = sim::matmul(noise, noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pa, device.duration_2q_ns), 0),
-                    noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pb, device.duration_2q_ns), 1),
-                    noise);
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
+                edge_error = device.error_2q[static_cast<std::size_t>(edge)];
+                set_gate_noise(key, edge_error, device.duration_2q_ns);
+                set_qubit_noise(key, 0,
+                                device.t1_us[static_cast<std::size_t>(pa)],
+                                device.t2_us[static_cast<std::size_t>(pa)]);
+                set_qubit_noise(key, 1,
+                                device.t1_us[static_cast<std::size_t>(pb)],
+                                device.t2_us[static_cast<std::size_t>(pb)]);
             }
-            if (have)
-                add_super2(s, la, lb);
+            add_super2(tables.two.get(key, [&] {
+                Mat16 s = {};
+                bool have = false;
+                if (fixed) {
+                    s = unitary_superop_2q(
+                        sim::gate_matrix_2q(op.kind, angles));
+                    have = true;
+                }
+                if (scale > 0.0) {
+                    const double err = clamp01(scale * edge_error);
+                    Mat16 noise =
+                        kraus_superop_2q(depolarizing_2q_kraus(err));
+                    // CRY lowers to two CX on hardware: pay the channel
+                    // twice (matching the unfused schedule).
+                    if (op.kind == circ::GateKind::CRY)
+                        noise = sim::matmul(noise, noise);
+                    noise = sim::matmul(
+                        expand_superop_1q(
+                            thermal_superop(pa, device.duration_2q_ns), 0),
+                        noise);
+                    noise = sim::matmul(
+                        expand_superop_1q(
+                            thermal_superop(pb, device.duration_2q_ns), 1),
+                        noise);
+                    s = have ? sim::matmul(noise, s) : noise;
+                }
+                return s;
+            }),
+                        la, lb);
         }
     }
 

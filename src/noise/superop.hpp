@@ -72,6 +72,15 @@ class NoisyProgram
      * depolarizing then thermal relaxation after 1-qubit gates,
      * depolarizing (twice for CRY) then both thermal relaxations after
      * 2-qubit gates.
+     *
+     * Each gate's composed gate+noise superoperator comes from a
+     * bounded per-thread table keyed by the values it is computed from
+     * (gate kind, fixed angles, scale, and the error rate, T1, T2 and
+     * duration of its physical qubits), so it is built once per
+     * distinct gate context rather than once per gate. A miss computes
+     * it exactly as before, so compiled programs are bit-identical
+     * whatever the table holds; value keys keep lookups correct across
+     * Device copies and in-place calibration drift.
      */
     static NoisyProgram compile(const circ::Circuit &local,
                                 const std::vector<int> &kept,

@@ -10,6 +10,17 @@ namespace {
 
 constexpr Amp kI = Amp(0.0, 1.0);
 
+/**
+ * e^{i t} from one sine/cosine pair: bit-identical to
+ * std::exp(kI * t), whose real part exp(0) = 1 scales nothing, without
+ * the general complex exponential.
+ */
+Amp
+cis(double t)
+{
+    return {std::cos(t), std::sin(t)};
+}
+
 Mat2
 rx(double t)
 {
@@ -27,16 +38,16 @@ ry(double t)
 Mat2
 rz(double t)
 {
-    return {{{std::exp(-kI * (t / 2)), Amp(0)},
-             {Amp(0), std::exp(kI * (t / 2))}}};
+    return {{{cis(-(t / 2)), Amp(0)},
+             {Amp(0), cis(t / 2)}}};
 }
 
 Mat2
 u3(double t, double p, double l)
 {
     const double c = std::cos(t / 2), s = std::sin(t / 2);
-    return {{{Amp(c), -std::exp(kI * l) * s},
-             {std::exp(kI * p) * s, std::exp(kI * (p + l)) * c}}};
+    return {{{Amp(c), -cis(l) * s},
+             {cis(p) * s, cis(p + l) * c}}};
 }
 
 } // namespace
@@ -121,24 +132,24 @@ gate_matrix_1q_deriv(circ::GateKind kind, const std::array<double, 3> &a,
       }
       case GateKind::RZ: {
         ELV_REQUIRE(slot == 0, "RZ has one parameter");
-        return {{{-kI * 0.5 * std::exp(-kI * (t / 2)), Amp(0)},
-                 {Amp(0), kI * 0.5 * std::exp(kI * (t / 2))}}};
+        return {{{-kI * 0.5 * cis(-(t / 2)), Amp(0)},
+                 {Amp(0), kI * 0.5 * cis(t / 2)}}};
       }
       case GateKind::U3: {
         const double c = std::cos(t / 2), s = std::sin(t / 2);
         if (slot == 0) {
-            return {{{Amp(-s / 2), -std::exp(kI * l) * (c / 2)},
-                     {std::exp(kI * p) * (c / 2),
-                      -std::exp(kI * (p + l)) * (s / 2)}}};
+            return {{{Amp(-s / 2), -cis(l) * (c / 2)},
+                     {cis(p) * (c / 2),
+                      -cis(p + l) * (s / 2)}}};
         }
         if (slot == 1) {
             return {{{Amp(0), Amp(0)},
-                     {kI * std::exp(kI * p) * s,
-                      kI * std::exp(kI * (p + l)) * c}}};
+                     {kI * cis(p) * s,
+                      kI * cis(p + l) * c}}};
         }
         ELV_REQUIRE(slot == 2, "U3 has three parameters");
-        return {{{Amp(0), -kI * std::exp(kI * l) * s},
-                 {Amp(0), kI * std::exp(kI * (p + l)) * c}}};
+        return {{{Amp(0), -kI * cis(l) * s},
+                 {Amp(0), kI * cis(p + l) * c}}};
       }
       default:
         ELV_REQUIRE(false, "gate has no parameters");

@@ -9,6 +9,11 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <deque>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -19,6 +24,7 @@
 #include "noise/channels.hpp"
 #include "noise/noise_model.hpp"
 #include "noise/superop.hpp"
+#include "parallel/thread_pool.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
 #include "sim/density_matrix.hpp"
@@ -353,6 +359,307 @@ TEST(NoisyProgram, NoiseScaleZeroIsNoiselessInBothPaths)
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_NEAR(a[i], b[i], 1e-12);
     EXPECT_NEAR(fused.fidelity(c, params, x), 1.0, 1e-9);
+}
+
+/** Every element of rho after replaying `program` from |0><0|. */
+std::vector<std::complex<double>>
+replay(const noise::NoisyProgram &program, const std::vector<double> &params,
+       const std::vector<double> &x)
+{
+    sim::DensityMatrix rho(program.num_qubits());
+    program.run(rho, params, x);
+    const std::size_t dim = std::size_t{1} << program.num_qubits();
+    std::vector<std::complex<double>> out;
+    out.reserve(dim * dim);
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c)
+            out.push_back(rho.element(r, c));
+    return out;
+}
+
+bool
+bit_equal(const std::vector<std::complex<double>> &a,
+          const std::vector<std::complex<double>> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+/** One compile: a circuit over physical qubits, its device and scale. */
+struct CompileCase
+{
+    const dev::Device *device = nullptr;
+    circ::Circuit circuit;
+    double scale = 1.0;
+    std::vector<double> params;
+    std::vector<double> x;
+    std::string label;
+};
+
+/** Compile and replay `c` on the calling thread (its superop table). */
+std::vector<std::complex<double>>
+compile_and_replay(const CompileCase &c)
+{
+    std::vector<int> kept;
+    const circ::Circuit local = c.circuit.compacted(kept);
+    return replay(
+        noise::NoisyProgram::compile(local, kept, *c.device, c.scale),
+        c.params, c.x);
+}
+
+/** compile_and_replay on a fresh thread, whose superop table is empty. */
+std::vector<std::complex<double>>
+cold_compile_and_replay(const CompileCase &c)
+{
+    std::vector<std::complex<double>> out;
+    std::thread([&] { out = compile_and_replay(c); }).join();
+    return out;
+}
+
+/**
+ * Both operand orders of one edge: CX, fixed CRY and variational CRY
+ * each way round, then a 1-qubit gate on either end.
+ */
+circ::Circuit
+edge_order_circuit(const dev::Device &device)
+{
+    const auto [a, b] = device.topology.edges().front();
+    circ::Circuit c(device.num_qubits());
+    c.add_gate(circ::GateKind::CX, {a, b});
+    c.add_gate(circ::GateKind::CX, {b, a});
+    // A CRY with no parameter role is fixed (angle 0); only a copied op
+    // can carry that role.
+    circ::Op fixed_cry;
+    fixed_cry.kind = circ::GateKind::CRY;
+    fixed_cry.qubits = {a, b};
+    c.append_op(fixed_cry);
+    fixed_cry.qubits = {b, a};
+    c.append_op(fixed_cry);
+    c.add_variational(circ::GateKind::CRY, {a, b});
+    c.add_variational(circ::GateKind::CRY, {b, a});
+    c.add_gate(circ::GateKind::H, {a});
+    c.add_variational(circ::GateKind::RY, {b});
+    c.set_measured({a, b});
+    return c;
+}
+
+/** A copy of `device` with its rates moved, as calibration drift does. */
+dev::Device
+drifted(const dev::Device &device)
+{
+    dev::Device out = device;
+    for (double &r : out.error_1q)
+        r *= 1.7;
+    for (double &r : out.error_2q)
+        r *= 1.3;
+    for (double &t : out.t1_us)
+        t *= 0.8;
+    return out;
+}
+
+/**
+ * Copies of `device` that each move exactly one calibration field the
+ * noise superoperators read, so a key missing that field would serve
+ * the original device's entries for the copy.
+ */
+std::vector<std::pair<std::string, dev::Device>>
+single_field_drifts(const dev::Device &device)
+{
+    std::vector<std::pair<std::string, dev::Device>> out;
+    auto add = [&](const std::string &field, auto &&move) {
+        dev::Device copy = device;
+        move(copy);
+        out.emplace_back(field, std::move(copy));
+    };
+    add("error_1q", [](dev::Device &d) {
+        for (double &r : d.error_1q)
+            r *= 1.7;
+    });
+    add("error_2q", [](dev::Device &d) {
+        for (double &r : d.error_2q)
+            r *= 1.3;
+    });
+    // Raising T1 and lowering T2 keep T2 <= 2 T1.
+    add("t1_us", [](dev::Device &d) {
+        for (double &t : d.t1_us)
+            t *= 1.25;
+    });
+    add("t2_us", [](dev::Device &d) {
+        for (double &t : d.t2_us)
+            t *= 0.8;
+    });
+    add("duration_1q_ns", [](dev::Device &d) { d.duration_1q_ns *= 1.5; });
+    add("duration_2q_ns", [](dev::Device &d) { d.duration_2q_ns *= 1.5; });
+    // One qubit only: the second operand of edge_order_circuit's first
+    // CX, so the 2-qubit key must cover both operands' T1 and T2.
+    const auto b =
+        static_cast<std::size_t>(device.topology.edges().front().second);
+    add("t1_us of one qubit", [b](dev::Device &d) { d.t1_us[b] *= 1.25; });
+    add("t2_us of one qubit", [b](dev::Device &d) { d.t2_us[b] *= 0.8; });
+    return out;
+}
+
+/** Generated candidates, their Clifford replicas and an edge-order
+ *  circuit on `device`, at each scale. */
+std::vector<CompileCase>
+compile_cases(const dev::Device &device, const std::string &name,
+              elv::Rng &rng)
+{
+    core::CandidateConfig config;
+    config.num_qubits = std::min(4, device.num_qubits());
+    config.num_params = 8;
+    config.num_embeds = 3;
+    config.num_meas = 2;
+    config.num_features = 3;
+    const circ::Circuit candidate =
+        core::generate_candidate(device, config, rng);
+    const std::vector<circ::Circuit> circuits = {
+        candidate, circ::make_clifford_replica(candidate, rng),
+        circ::make_clifford_replica(candidate, rng),
+        edge_order_circuit(device)};
+    std::vector<CompileCase> cases;
+    for (const double scale : {0.0, 0.5, 1.0, 2.0})
+        for (std::size_t k = 0; k < circuits.size(); ++k) {
+            CompileCase c;
+            c.device = &device;
+            c.circuit = circuits[k];
+            c.scale = scale;
+            c.params = random_values(
+                static_cast<std::size_t>(c.circuit.num_params()), rng);
+            c.x = random_values(3, rng);
+            c.label = name + " circuit " + std::to_string(k) +
+                      " scale " + std::to_string(scale);
+            cases.push_back(std::move(c));
+        }
+    return cases;
+}
+
+TEST(SuperopTable, WarmCompileIsBitIdenticalToCold)
+{
+    // Warm this thread's table with every context at once — all catalog
+    // devices, drifted copies, four scales, both operand orders — then
+    // recompile each case (now all hits) and compare with a compile on
+    // a fresh thread. A key that missed any value the superoperator
+    // depends on would serve another context's entry here.
+    std::deque<dev::Device> devices;
+    std::vector<std::string> names;
+    for (const std::string &name : dev::device_catalog()) {
+        devices.push_back(dev::make_device(name));
+        names.push_back(name);
+    }
+    devices.push_back(drifted(dev::make_device("ibm_lagos")));
+    names.push_back("ibm_lagos (drifted)");
+    for (auto &[field, copy] :
+         single_field_drifts(dev::make_device("ibm_lagos"))) {
+        devices.push_back(std::move(copy));
+        names.push_back("ibm_lagos (" + field + " drifted)");
+    }
+
+    elv::Rng rng(41);
+    std::vector<CompileCase> cases;
+    for (std::size_t d = 0; d < devices.size(); ++d)
+        for (CompileCase &c : compile_cases(devices[d], names[d], rng))
+            cases.push_back(std::move(c));
+
+    for (const CompileCase &c : cases)
+        compile_and_replay(c);
+    for (const CompileCase &c : cases)
+        EXPECT_TRUE(bit_equal(compile_and_replay(c),
+                              cold_compile_and_replay(c)))
+            << c.label;
+}
+
+TEST(SuperopTable, DriftedCopyGetsItsOwnSuperoperators)
+{
+    // Same circuit, same physical qubits, same scale: only calibration
+    // values differ, so the value-keyed table must not reuse the
+    // original device's entries for any of the copies.
+    const dev::Device device = dev::make_device("ibm_lagos");
+    auto copies = single_field_drifts(device);
+    copies.emplace_back("all rates", drifted(device));
+    CompileCase c;
+    c.circuit = edge_order_circuit(device);
+    c.params = {0.3, -1.1, 0.7};
+    c.device = &device;
+    const auto original = compile_and_replay(c);
+    for (const auto &[field, moved] : copies) {
+        c.device = &device;
+        compile_and_replay(c);
+        c.device = &moved;
+        const auto warm = compile_and_replay(c);
+        EXPECT_FALSE(bit_equal(original, warm)) << field;
+        EXPECT_TRUE(bit_equal(warm, cold_compile_and_replay(c))) << field;
+    }
+}
+
+TEST(SuperopTable, ConcurrentCompilesOnPoolThreadsMatchSerial)
+{
+    // Two pool threads compile Clifford replicas against one shared
+    // device at the same time; each has its own table, and the results
+    // must equal a serial compile's.
+    const dev::Device device = dev::make_device("ibm_lagos");
+    elv::Rng rng(43);
+    core::CandidateConfig config;
+    config.num_qubits = 4;
+    config.num_params = 12;
+    config.num_embeds = 3;
+    config.num_meas = 1;
+    config.num_features = 3;
+    std::vector<CompileCase> cases;
+    for (int n = 0; n < 8; ++n) {
+        const circ::Circuit candidate =
+            core::generate_candidate(device, config, rng);
+        for (int m = 0; m < 4; ++m) {
+            CompileCase c;
+            c.device = &device;
+            c.circuit = circ::make_clifford_replica(candidate, rng);
+            cases.push_back(std::move(c));
+        }
+    }
+    std::vector<std::vector<std::complex<double>>> serial;
+    for (const CompileCase &c : cases)
+        serial.push_back(cold_compile_and_replay(c));
+
+    par::ThreadPool pool(2);
+    const auto concurrent =
+        pool.parallel_map<std::vector<std::complex<double>>>(
+            cases.size(),
+            [&](std::size_t i) { return compile_and_replay(cases[i]); });
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_TRUE(bit_equal(serial[i], concurrent[i])) << "replica " << i;
+}
+
+TEST(NoisyProgram, CachedRunSeesCalibrationDrift)
+{
+    // FaultInjector drift rewrites the rates of the Device a simulator
+    // references, in place. The next run of the same circuit must use
+    // the drifted rates, exactly as a fresh simulator would.
+    dev::Device device = dev::make_device("ibm_lagos");
+    elv::Rng rng(47);
+    core::CandidateConfig config;
+    config.num_qubits = 4;
+    config.num_params = 8;
+    config.num_embeds = 3;
+    config.num_meas = 2;
+    config.num_features = 3;
+    const circ::Circuit c = core::generate_candidate(device, config, rng);
+    const circ::Circuit replica = circ::make_clifford_replica(c, rng);
+    const auto params =
+        random_values(static_cast<std::size_t>(c.num_params()), rng);
+    const auto x = random_values(3, rng);
+
+    noise::NoisyDensitySimulator sim(device);
+    const auto before = sim.run_distribution(c, params, x);
+    const double fidelity_before = sim.fidelity(replica);
+
+    device = drifted(device);
+    noise::NoisyDensitySimulator fresh(device);
+    const auto after = sim.run_distribution(c, params, x);
+    EXPECT_EQ(after, fresh.run_distribution(c, params, x));
+    EXPECT_NE(after, before);
+    const double fidelity_after = sim.fidelity(replica);
+    EXPECT_EQ(fidelity_after, fresh.fidelity(replica));
+    EXPECT_NE(fidelity_after, fidelity_before);
 }
 
 /** A small trainable circuit on the moons features. */

@@ -282,13 +282,27 @@ TEST(Server, RejectsInvalidSpecs)
 
 TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
 {
-    Server server(small_config(fresh_dir("overload")));
+    const ServerConfig config = small_config(fresh_dir("overload"));
+    Server server(config);
 
-    // Flood a capacity-2 queue. The single worker drains one job at a
-    // time, so at least the tail of the flood must see "queue full" —
-    // an explicit rejection with a retry hint, never a hang or a
-    // silent drop.
-    std::vector<std::string> accepted;
+    // Occupy the single worker for the whole test with a job far
+    // larger than the test body (cancelled at the end), so nothing is
+    // dequeued while the queue is being filled and shed.
+    JobSpec blocker = long_spec(99);
+    blocker.candidates = 4096;
+    blocker.scale = 1.0;
+    const SubmitOutcome blocked = server.submit(blocker);
+    ASSERT_TRUE(blocked.accepted) << blocked.error;
+    const auto running = wait_for(
+        server, blocked.id, [](const JobStatusSnapshot &snap) {
+            return snap.state != JobState::Queued;
+        });
+    ASSERT_EQ(running.state, JobState::Running);
+
+    // Flood the capacity-2 queue: with the worker busy the tail of the
+    // flood must see "queue full" — an explicit rejection with a retry
+    // hint, never a hang or a silent drop.
+    std::vector<std::string> accepted = {blocked.id};
     SubmitOutcome rejected;
     for (int i = 0; i < 12 && rejected.error.empty(); ++i) {
         const SubmitOutcome outcome =
@@ -303,7 +317,16 @@ TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
     EXPECT_NE(rejected.error.find("queue full"), std::string::npos);
     EXPECT_GT(rejected.retry_after_ms, 0.0);
 
-    // Priority shedding: with the queue still full, a higher-priority
+    // The premise of the shedding step: the queue is still full and the
+    // blocker still holds the worker.
+    std::size_t queued = 0;
+    for (const auto &snap : server.jobs())
+        if (snap.state == JobState::Queued)
+            ++queued;
+    ASSERT_EQ(queued, config.queue_capacity);
+    ASSERT_EQ(server.status(blocked.id)->state, JobState::Running);
+
+    // Priority shedding: with the queue full, a higher-priority
     // arrival displaces the lowest-priority queued job, which ends
     // Rejected with an explicit explanation.
     JobSpec urgent = quick_spec(7);
